@@ -6,10 +6,9 @@ the adaptive planner (``engine="auto"``) against the fixed full-vector
 engine, across a sweep of per-base identities on a synthetic long-read
 batch. Near-identical pairs ride the batched wavefront kernel (work
 scales with edit distance, not matrix area), so the planner's win
-grows with identity; at high divergence the planner routes everything
-to the full kernel and the two engines converge. Results are
-bit-identical by the conformance suite, so this benchmark only records
-speed.
+grows with identity; divergent pairs ride the bit-parallel kernel
+(O(n*m / 64) at any divergence). Results are bit-identical by the
+conformance suite, so this benchmark only records speed.
 
 The headline metric -- the score-mode speedup on the >= 95%-identity
 batch -- is appended to ``results/BENCH_HISTORY.json`` under the same
@@ -26,7 +25,7 @@ import numpy as np
 from repro.analysis.reporting import format_table, results_dir
 from repro.config import dna_edit_config
 from repro.exec import BatchConfig, BatchEngine
-from repro.exec.planner import PlannerPolicy, plan_routes
+from repro.exec.planner import ROUTES, PlannerPolicy, plan_routes
 from repro.obs import bench
 from repro.workloads.synthetic import ErrorProfile, mutate
 
@@ -74,9 +73,9 @@ def experiment(scale: float):
     sweep = []
     for error in ERRORS:
         pairs = _make_pairs(config, n_pairs, LENGTH, error)
-        routes, _ = plan_routes(pairs, config.model, policy)
-        mix = {route: routes.count(route)
-               for route in ("wavefront", "banded", "full")}
+        routes, _ = plan_routes(pairs, config.model, policy,
+                                traceback=False)
+        mix = {route: routes.count(route) for route in ROUTES}
         rates = {}
         for engine_name in ("vector", "auto"):
             batch = BatchConfig(engine=engine_name, mode="global",
@@ -93,12 +92,12 @@ def experiment(scale: float):
         sweep.append({"identity": 1.0 - error, "routes": mix,
                       "speedup": speedup})
         rows.append([f"{100 * (1 - error):.0f}%",
-                     f"{mix['wavefront']}/{mix['banded']}/{mix['full']}",
+                     "/".join(str(mix[route]) for route in ROUTES),
                      f"{rates['vector']:,.1f}", f"{rates['auto']:,.1f}",
                      f"{speedup:.1f}x"])
     sections = [format_table(
-        ["identity", "routes w/b/f", "vector pairs/s", "auto pairs/s",
-         "speedup"],
+        ["identity", "routes wavefront/bitparallel/full",
+         "vector pairs/s", "auto pairs/s", "speedup"],
         rows,
         title="Adaptive planner -- auto over fixed vector (score mode)")]
     headline = next(entry["speedup"] for entry, error
@@ -106,8 +105,8 @@ def experiment(scale: float):
     sections.append(
         f"Headline: engine=auto is {headline:.1f}x the fixed vector "
         f"engine on {n_pairs} pairs of length {LENGTH} at 95% identity "
-        "(acceptance floor: 3x). The win shrinks toward 1x as identity "
-        "drops and the planner routes pairs back to the full kernel.")
+        "(acceptance floor: 3x). As identity drops the planner moves "
+        "pairs from the wavefront to the bit-parallel kernel.")
     payload = {
         "params": {"pairs": n_pairs, "length": LENGTH,
                    "errors": list(ERRORS)},

@@ -58,7 +58,7 @@ from repro.core.system import SmxSystem
 from repro.algorithms.wavefront import _check_edit_model
 from repro.core.worker import BlockJob
 from repro.errors import ConfigurationError, EncodingError
-from repro.exec.engine import BatchConfig, BatchEngine
+from repro.exec.engine import ENGINES, BatchConfig, BatchEngine
 from repro.obs import reports as obs_reports
 
 
@@ -830,8 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="align many pairs: one 'QUERY REFERENCE' "
                             "per line ('#' comments allowed)")
     align.add_argument("--engine",
-                       choices=("scalar", "vector", "wavefront",
-                                "bitparallel", "auto"),
+                       choices=ENGINES,
                        default="vector",
                        help="batch execution engine (default: vector; "
                             "'wavefront' needs a unit-cost edit config, "
@@ -892,8 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="spool directory (default: ./spool)")
     _add_config_argument(enqueue)
     enqueue.add_argument("--engine",
-                         choices=("scalar", "vector", "wavefront",
-                                  "bitparallel", "auto"),
+                         choices=ENGINES,
                          default="vector",
                          help="batch engine for the job "
                               "(default: vector; 'bitparallel' jobs "

@@ -2,11 +2,18 @@
 
 :class:`BatchEngine` runs many independent (query, reference) pairs
 through one alignment configuration. The ``scalar`` engine simply loops
-the existing per-pair aligners; the ``vector`` engine buckets pairs by
-length (:mod:`repro.exec.buckets`) and sweeps each bucket with the
-batched kernels (:mod:`repro.exec.kernels`). Both return the *same*
-``AlignerResult`` objects -- scores, CIGARs, stats, and failure reasons
-are bit-identical, which the conformance and property suites enforce.
+the existing per-pair aligners. Every other engine runs one bucket loop
+over a small route table: pairs are bucketed by length
+(:mod:`repro.exec.buckets`) and each bucket is swept by one route --
+``full`` (the batched kernels of :mod:`repro.exec.kernels`),
+``wavefront`` or ``bitparallel``. A fixed engine sends every pair down
+its one route; ``auto`` sends each pair down the route the planner
+(:mod:`repro.exec.planner`) picks, and pairs a route demotes finish on
+the full route. Results are bit-identical to a per-pair reference,
+which the conformance and property suites enforce: ``vector`` and
+``auto`` to the scalar aligners (scores, CIGARs, failure reasons),
+``wavefront`` to ``WavefrontAligner`` and ``bitparallel`` to Myers'
+edit distance.
 
 Multi-process sharding (``BatchConfig.workers > 1``) lives in
 :mod:`repro.exec.sharding`.
@@ -15,6 +22,7 @@ Multi-process sharding (``BatchConfig.workers > 1``) lives in
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass
 
@@ -54,6 +62,11 @@ ENGINES = ("scalar", "vector", "wavefront", "bitparallel", "auto")
 MODES = ("global", "local", "semiglobal")
 ALGORITHMS = ("full", "affine", "banded", "xdrop")
 
+#: The one route each fixed vectorized engine sends every pair down.
+_FIXED_ROUTES = {"vector": planning.ROUTE_FULL,
+                 "wavefront": planning.ROUTE_WAVEFRONT,
+                 "bitparallel": planning.ROUTE_BITPARALLEL}
+
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -68,9 +81,10 @@ class BatchConfig:
             blocked-Myers bit-parallel sweep, 64 DP rows per uint64
             lane; unit-cost edit model, global/full, *score only* --
             ``traceback=True`` raises) or ``"auto"`` (the adaptive
-            planner: per-pair routing between wavefront, certified
-            banded, bit-parallel and full kernels, bit-identical to
-            the full vector engine).
+            planner: score-only edit-model pairs route per pair to the
+            wavefront, bit-parallel or full kernel; CIGAR pairs and
+            other models take the full kernel; scores and CIGARs are
+            bit-identical to the full vector engine).
         mode: ``"global"``, ``"local"`` or ``"semiglobal"``; the latter
             two require ``algorithm="full"``.
         algorithm: ``"full"``, ``"affine"``, ``"banded"`` or
@@ -259,14 +273,8 @@ class BatchEngine:
             else:
                 if batch.engine == "scalar":
                     results = self._run_scalar(pairs, deadline)
-                elif batch.engine == "wavefront":
-                    results = self._run_wavefront(pairs, deadline)
-                elif batch.engine == "bitparallel":
-                    results = self._run_bitparallel(pairs, deadline)
-                elif batch.engine == "auto":
-                    results = self._run_auto(pairs, deadline)
                 else:
-                    results = self._run_vector(pairs, deadline)
+                    results = self._run_routed(pairs, deadline)
                 # Fault-injection hook: a no-op unless a chaos plan is
                 # active for this execution. Sharded runs inject inside
                 # each worker's inline engine instead.
@@ -373,48 +381,118 @@ class BatchEngine:
                             done=index + 1, total=len(pairs))
         return results
 
-    # -- vector path -------------------------------------------------------
+    # -- routed path: every engine but scalar ------------------------------
 
-    def _run_vector(self, pairs,
-                    deadline: Deadline = Deadline.unbounded(),
-                    ) -> list[AlignerResult]:
+    def _run_routed(self, pairs,
+                    deadline: Deadline) -> list[AlignerResult]:
+        """Sweep every pair through the route table, bucket by bucket.
+
+        A fixed engine sends every pair down its one route; ``auto``
+        sends each pair down the route the planner picks. Each bucket's
+        index is mapped back to submission positions before its route
+        runs, so results land -- and pair errors are tagged -- at the
+        position the caller submitted. Positions a route demotes run on
+        the full route, which the loop visits last.
+        """
         batch = self.batch
         model = self.config.model
         if batch.mode == "local":
             _require_positive_scores(model)
+        if batch.engine == "wavefront":
+            _check_edit_model(model)
+        elif batch.engine == "bitparallel":
+            _check_edit_model(model, "engine 'bitparallel'")
+        if batch.engine == "auto":
+            routes, caps = self._plan(pairs)
+        else:
+            routes = [_FIXED_ROUTES[batch.engine]] * len(pairs)
+            caps = None
+        sweeps = {
+            planning.ROUTE_WAVEFRONT: functools.partial(
+                self._sweep_wavefront, caps=caps),
+            planning.ROUTE_BITPARALLEL: self._sweep_bitparallel,
+            planning.ROUTE_FULL: self._sweep_full,
+        }
+        metrics, events = self.obs.metrics, self.obs.events
+        bucket_lat, pair_lat = self._latency_instruments(batch.engine)
         results: list[AlignerResult | None] = [None] * len(pairs)
-        matrices_per_cell = 3 if batch.algorithm == "affine" else 1
-        events = self.obs.events
-        bucket_lat, pair_lat = self._latency_instruments("vector")
+        demoted: list[int] = []
         done = 0
-        for bucket in bucketize(pairs, batch.bucket_granularity):
-            deadline.check("vector batch")
-            self.obs.metrics.distribution(
-                "exec.bucket_fill").observe(bucket.fill_ratio)
-            bucket_started = time.perf_counter()
-            with self.obs.tracer.host_span(
-                    "exec.bucket", pairs=bucket.size, n=bucket.n_max,
-                    m=bucket.m_max), \
-                    self.obs.profiler.phase(
-                        f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                if batch.traceback:
-                    cells = matrices_per_cell * (bucket.n_max + 1) \
-                        * (bucket.m_max + 1)
-                    chunk = max(1, batch.max_batch_cells // cells)
-                    for piece in bucket.slices(chunk):
-                        self._vector_align(piece, results)
-                else:
-                    self._vector_score(bucket, results)
-            self._observe_bucket_latency(bucket_lat, pair_lat,
-                                         bucket_started, bucket.size)
-            done += bucket.size
-            if events.enabled:
-                events.emit("progress", engine="vector", done=done,
-                            total=len(pairs), bucket=f"{bucket.n_max}x"
-                            f"{bucket.m_max}")
+        for route, sweep in sweeps.items():
+            positions = [p for p, planned in enumerate(routes)
+                         if planned == route]
+            if route == planning.ROUTE_FULL:
+                positions += demoted
+            if not positions:
+                continue
+            index = np.asarray(positions, dtype=np.int64)
+            for bucket in bucketize([pairs[p] for p in positions],
+                                    batch.bucket_granularity):
+                deadline.check(f"{batch.engine} batch")
+                bucket.index = index[bucket.index]
+                metrics.distribution(
+                    "exec.bucket_fill").observe(bucket.fill_ratio)
+                shape = f"{bucket.n_max}x{bucket.m_max}"
+                bucket_started = time.perf_counter()
+                with self.obs.tracer.host_span(
+                        "exec.bucket", pairs=bucket.size, n=bucket.n_max,
+                        m=bucket.m_max), \
+                        self.obs.profiler.phase(f"bucket[{shape}]"):
+                    lost = sweep(bucket, results)
+                # Demoted pairs are timed again on the full route, so
+                # each pair's latency is observed exactly once.
+                settled = bucket.size - len(lost)
+                self._observe_bucket_latency(bucket_lat, pair_lat,
+                                             bucket_started, settled)
+                demoted += lost
+                done += settled
+                if events.enabled:
+                    events.emit("progress", engine=batch.engine,
+                                done=done, total=len(pairs), bucket=shape)
+        if demoted:
+            metrics.counter("exec.plan.demoted" if batch.engine == "auto"
+                            else "exec.wavefront.fallbacks"
+                            ).inc(len(demoted))
         return results
 
-    # -- wavefront path ----------------------------------------------------
+    def _plan(self, pairs) -> tuple[list[str], list[int]]:
+        """The planner's route for every pair, recorded as counters and
+        a ``plan`` event, plus each pair's wavefront probe cap:
+        ``probe_slack`` times the larger of 8 and its distance
+        estimate."""
+        policy = self.batch.planner or PlannerPolicy()
+        with self.obs.profiler.phase("exec.plan"):
+            routes, estimates = planning.plan_routes(
+                pairs, self.config.model, policy,
+                traceback=self.batch.traceback)
+        counts = {route: routes.count(route) for route in planning.ROUTES}
+        for route, count in counts.items():
+            if count:
+                self.obs.metrics.counter(f"exec.plan.{route}").inc(count)
+        if self.obs.events.enabled:
+            self.obs.events.emit("plan", pairs=len(pairs), **counts)
+        caps = [policy.probe_slack * max(8, estimate)
+                for estimate in estimates]
+        return routes, caps
+
+    # Routes: each sweeps one bucket, stores results at the bucket's
+    # (submission) positions and returns the positions it demotes.
+
+    def _sweep_full(self, bucket: PairBatch,
+                    results: list[AlignerResult | None]) -> list[int]:
+        """The full vector kernels: exact for every mode, algorithm and
+        model, so nothing demotes."""
+        batch = self.batch
+        if batch.traceback:
+            matrices_per_cell = 3 if batch.algorithm == "affine" else 1
+            cells = matrices_per_cell * (bucket.n_max + 1) \
+                * (bucket.m_max + 1)
+            chunk = max(1, batch.max_batch_cells // cells)
+            for piece in bucket.slices(chunk):
+                self._vector_align(piece, results)
+        else:
+            self._vector_score(bucket, results)
+        return []
 
     def _wavefront_empty(self, bucket: PairBatch,
                          results: list[AlignerResult | None]) -> None:
@@ -435,144 +513,65 @@ class BatchEngine:
                 results[position] = AlignerResult(
                     alignment=None, score=score, stats=stats)
 
-    def _run_wavefront(self, pairs,
-                       deadline: Deadline = Deadline.unbounded(),
-                       ) -> list[AlignerResult]:
+    def _sweep_wavefront(self, bucket: PairBatch,
+                         results: list[AlignerResult | None],
+                         caps: list[int] | None = None) -> list[int]:
         """Batched wavefront sweep; scores, CIGARs and stats are
-        bit-identical to the scalar ``WavefrontAligner``. Pairs that
-        blow ``wavefront_max_score`` fall back to the full vector
-        kernel (exact score, canonical full-matrix CIGAR)."""
+        bit-identical to the scalar ``WavefrontAligner``. The distance
+        cap is ``wavefront_max_score``, or under ``auto`` the largest
+        probe cap in the bucket; pairs over it are demoted."""
         batch = self.batch
-        _check_edit_model(self.config.model)
-        events = self.obs.events
-        results: list[AlignerResult | None] = [None] * len(pairs)
-        fallback: list[int] = []
-        bucket_lat, pair_lat = self._latency_instruments("wavefront")
-        done = 0
-        for bucket in bucketize(pairs, batch.bucket_granularity):
-            deadline.check("wavefront batch")
-            self.obs.metrics.distribution(
-                "exec.bucket_fill").observe(bucket.fill_ratio)
-            bucket_started = time.perf_counter()
-            with self.obs.tracer.host_span(
-                    "exec.bucket", pairs=bucket.size, n=bucket.n_max,
-                    m=bucket.m_max), \
-                    self.obs.profiler.phase(
-                        f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                if bucket.n_max == 0 or bucket.m_max == 0:
-                    self._wavefront_empty(bucket, results)
-                else:
-                    # Wavefront history is O(B * s^2); bound resident
-                    # memory by the worst case s ~ n + m.
-                    span = bucket.n_max + bucket.m_max + 1
-                    per_pair = span * span if batch.traceback else span
-                    chunk = max(1, batch.max_batch_cells // per_pair)
-                    for piece in bucket.slices(chunk):
-                        fallback.extend(
-                            self._wavefront_piece(piece, results))
-            self._observe_bucket_latency(bucket_lat, pair_lat,
-                                         bucket_started, bucket.size)
-            done += bucket.size
-            if events.enabled:
-                events.emit("progress", engine="wavefront", done=done,
-                            total=len(pairs), bucket=f"{bucket.n_max}x"
-                            f"{bucket.m_max}")
-        if fallback:
-            self.obs.metrics.counter(
-                "exec.wavefront.fallbacks").inc(len(fallback))
-            sub = self._run_vector([pairs[p] for p in fallback], deadline)
-            for position, result in zip(fallback, sub):
-                results[position] = result
-        return results
-
-    def _wavefront_piece(self, bucket: PairBatch,
-                         results: list[AlignerResult | None]) -> list[int]:
-        """Sweep one bucket slice; returns the positions that exceeded
-        the distance cap and need the full-kernel fallback."""
-        batch = self.batch
-        with self.obs.profiler.phase("linear.wavefront"):
-            sweep = wavefront_kernel.sweep_wavefront(
-                bucket, self.config.model,
-                max_score=batch.wavefront_max_score,
-                keep=batch.traceback)
-            if self.obs.enabled:
-                self._account(int(np.sum(sweep.cells)), 8)
-        fallback: list[int] = []
-        q_len, r_len = bucket.q_len, bucket.r_len
-        if batch.traceback:
-            with self.obs.profiler.phase("traceback"):
-                for b, position in enumerate(bucket.index):
+        if bucket.n_max == 0 or bucket.m_max == 0:
+            self._wavefront_empty(bucket, results)
+            return []
+        cap = batch.wavefront_max_score if caps is None \
+            else max(caps[p] for p in bucket.index)
+        # Wavefront history is O(B * s^2); bound resident memory by the
+        # worst case s ~ n + m.
+        span = bucket.n_max + bucket.m_max + 1
+        per_pair = span * span if batch.traceback else span
+        demoted: list[int] = []
+        for piece in bucket.slices(max(1, batch.max_batch_cells // per_pair)):
+            with self.obs.profiler.phase("linear.wavefront"):
+                sweep = wavefront_kernel.sweep_wavefront(
+                    piece, self.config.model, max_score=cap,
+                    keep=batch.traceback)
+                if self.obs.enabled:
+                    self._account(int(np.sum(sweep.cells)), 8)
+            with self.obs.profiler.phase("traceback") if batch.traceback \
+                    else contextlib.nullcontext():
+                for b, position in enumerate(piece.index):
                     position = int(position)
                     if sweep.exceeded[b]:
-                        fallback.append(position)
+                        demoted.append(position)
                         continue
-                    n, m = int(q_len[b]), int(r_len[b])
                     distance = int(sweep.distance[b])
-                    with _tag_pair(position):
-                        cigar = wavefront_kernel.wavefront_cigar(
-                            sweep, b, n, m)
-                    alignment = Alignment(score=-distance, cigar=cigar,
-                                          query_len=n, ref_len=m)
+                    alignment = None
+                    stored = 2 * int(sweep.peak[b])
+                    if batch.traceback:
+                        n, m = int(piece.q_len[b]), int(piece.r_len[b])
+                        with _tag_pair(position):
+                            cigar = wavefront_kernel.wavefront_cigar(
+                                sweep, b, n, m)
+                        alignment = Alignment(score=-distance, cigar=cigar,
+                                              query_len=n, ref_len=m)
+                        stored = int(sweep.stored[b])
                     stats = DPStats(cells_computed=int(sweep.cells[b]),
-                                    cells_stored=int(sweep.stored[b]),
-                                    blocks=1)
+                                    cells_stored=stored, blocks=1)
                     results[position] = AlignerResult(
                         alignment=alignment, score=-distance, stats=stats)
-        else:
-            for b, position in enumerate(bucket.index):
-                position = int(position)
-                if sweep.exceeded[b]:
-                    fallback.append(position)
-                    continue
-                distance = int(sweep.distance[b])
-                stats = DPStats(cells_computed=int(sweep.cells[b]),
-                                cells_stored=2 * int(sweep.peak[b]),
-                                blocks=1)
-                results[position] = AlignerResult(
-                    alignment=None, score=-distance, stats=stats)
-        return fallback
+        return demoted
 
-    # -- bit-parallel path -------------------------------------------------
-
-    def _run_bitparallel(self, pairs,
-                         deadline: Deadline = Deadline.unbounded(),
-                         ) -> list[AlignerResult]:
+    def _sweep_bitparallel(self, bucket: PairBatch,
+                           results: list[AlignerResult | None]) -> list[int]:
         """Batched blocked-Myers bit-parallel sweep (64 DP rows per
         uint64 lane, all pairs of a bucket per NumPy op). Score-only;
         distances are bit-identical to ``myers_edit_distance`` and the
-        scalar ``WavefrontAligner`` at any divergence."""
-        batch = self.batch
-        _check_edit_model(self.config.model, "engine 'bitparallel'")
-        events = self.obs.events
-        results: list[AlignerResult | None] = [None] * len(pairs)
-        bucket_lat, pair_lat = self._latency_instruments("bitparallel")
-        done = 0
-        for bucket in bucketize(pairs, batch.bucket_granularity):
-            deadline.check("bitparallel batch")
-            self.obs.metrics.distribution(
-                "exec.bucket_fill").observe(bucket.fill_ratio)
-            bucket_started = time.perf_counter()
-            with self.obs.tracer.host_span(
-                    "exec.bucket", pairs=bucket.size, n=bucket.n_max,
-                    m=bucket.m_max), \
-                    self.obs.profiler.phase(
-                        f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                if bucket.n_max == 0 or bucket.m_max == 0:
-                    self._wavefront_empty(bucket, results)
-                else:
-                    self._bitparallel_bucket(bucket, results)
-            self._observe_bucket_latency(bucket_lat, pair_lat,
-                                         bucket_started, bucket.size)
-            done += bucket.size
-            if events.enabled:
-                events.emit("progress", engine="bitparallel", done=done,
-                            total=len(pairs), bucket=f"{bucket.n_max}x"
-                            f"{bucket.m_max}")
-        return results
-
-    def _bitparallel_bucket(self, bucket: PairBatch,
-                            results: list[AlignerResult | None]) -> None:
-        """Sweep one bucket and store its score-only results."""
+        scalar ``WavefrontAligner`` at any divergence, so nothing
+        demotes."""
+        if bucket.n_max == 0 or bucket.m_max == 0:
+            self._wavefront_empty(bucket, results)
+            return []
         n_symbols = self.config.alphabet.size
         with self.obs.profiler.phase("linear.bitparallel"):
             sweep = bitparallel_kernel.sweep_bitparallel(
@@ -587,315 +586,13 @@ class BatchEngine:
                     * int(np.sum(sweep.words)))
         state_words = bitparallel_kernel.WORDS_PER_BLOCK_STATE + n_symbols
         for b, position in enumerate(bucket.index):
-            distance = int(sweep.distance[b])
             blocks = int(sweep.blocks[b])
             stats = DPStats(cells_computed=int(sweep.cells[b]),
                             cells_stored=blocks * state_words,
                             blocks=max(1, blocks))
             results[int(position)] = AlignerResult(
-                alignment=None, score=-distance, stats=stats)
-
-    # -- adaptive planner path ---------------------------------------------
-
-    def _run_auto(self, pairs,
-                  deadline: Deadline = Deadline.unbounded(),
-                  ) -> list[AlignerResult]:
-        """Adaptive planner: route each pair to the cheapest exact
-        kernel. Scores, CIGARs and meta are bit-identical to the full
-        vector engine; only ``DPStats`` reflect the (smaller) work
-        actually done. Each route re-buckets its own pairs, so kernels
-        keep dense buckets after routing."""
-        batch = self.batch
-        policy = batch.planner or PlannerPolicy()
-        with self.obs.profiler.phase("exec.plan"):
-            routes, estimates = planning.plan_routes(
-                pairs, self.config.model, policy,
-                traceback=batch.traceback)
-        metrics = self.obs.metrics
-        counts = {route: 0 for route in planning.ROUTES}
-        for route in routes:
-            counts[route] += 1
-        for route, count in counts.items():
-            if count:
-                metrics.counter(f"exec.plan.{route}").inc(count)
-        events = self.obs.events
-        if events.enabled:
-            events.emit("plan", pairs=len(pairs), **counts)
-        results: list[AlignerResult | None] = [None] * len(pairs)
-        demoted: list[int] = []
-        wavefront_pos = [p for p, route in enumerate(routes)
-                         if route == planning.ROUTE_WAVEFRONT]
-        banded_pos = [p for p, route in enumerate(routes)
-                      if route == planning.ROUTE_BANDED]
-        bitparallel_pos = [p for p, route in enumerate(routes)
-                           if route == planning.ROUTE_BITPARALLEL]
-        full_pos = [p for p, route in enumerate(routes)
-                    if route == planning.ROUTE_FULL]
-        if wavefront_pos:
-            demoted.extend(self._auto_wavefront(
-                pairs, wavefront_pos, estimates, results, deadline))
-        if banded_pos:
-            demoted.extend(self._auto_banded(
-                pairs, banded_pos, estimates, results, deadline))
-        if bitparallel_pos:
-            self._auto_bitparallel(pairs, bitparallel_pos, results,
-                                   deadline)
-        if demoted:
-            metrics.counter("exec.plan.demoted").inc(len(demoted))
-            full_pos.extend(demoted)
-        if full_pos:
-            sub = self._run_vector([pairs[p] for p in full_pos], deadline)
-            for position, result in zip(full_pos, sub):
-                results[position] = result
-        return results
-
-    def _auto_wavefront(self, pairs, positions: list[int],
-                        estimates: list[int],
-                        results: list[AlignerResult | None],
-                        deadline: Deadline) -> list[int]:
-        """Wavefront-routed pairs: sweep for the exact distance (capped
-        probe), then -- in traceback mode -- replay each pair through a
-        banded corridor certified by that distance, so the canonical
-        traceback equals the full-matrix traceback bit for bit.
-        Returns positions demoted to the full kernel."""
-        batch = self.batch
-        model = self.config.model
-        policy = batch.planner or PlannerPolicy()
-        demoted: list[int] = []
-        certified: list[tuple[int, int]] = []
-        sub_pairs = [pairs[p] for p in positions]
-        for bucket in bucketize(sub_pairs, batch.bucket_granularity):
-            deadline.check("auto wavefront bucket")
-            cap = policy.probe_slack * max(
-                8, max(estimates[positions[int(local)]]
-                       for local in bucket.index))
-            with self.obs.profiler.phase(
-                    f"bucket[{bucket.n_max}x{bucket.m_max}]"), \
-                    self.obs.profiler.phase("linear.wavefront"):
-                sweep = wavefront_kernel.sweep_wavefront(
-                    bucket, model, max_score=cap, keep=False)
-                if self.obs.enabled:
-                    self._account(int(np.sum(sweep.cells)), 8)
-            for b, local in enumerate(bucket.index):
-                position = positions[int(local)]
-                if sweep.exceeded[b]:
-                    demoted.append(position)
-                    continue
-                distance = int(sweep.distance[b])
-                if batch.traceback:
-                    certified.append((position, distance))
-                else:
-                    stats = DPStats(cells_computed=int(sweep.cells[b]),
-                                    cells_stored=2 * int(sweep.peak[b]),
-                                    blocks=1)
-                    results[position] = AlignerResult(
-                        alignment=None, score=-distance, stats=stats)
-        if certified:
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for position, distance in certified:
-                q_codes, r_codes = pairs[position]
-                n, m = len(q_codes), len(r_codes)
-                half = planning.certified_half_width(model, n, m, -distance)
-                if half is None or half >= min(n, m):
-                    demoted.append(position)
-                    continue
-                groups.setdefault(planning.width_class(half),
-                                  []).append((position, distance))
-            for half, members in sorted(groups.items()):
-                demoted.extend(self._banded_exact(
-                    pairs, members, half, results, deadline))
-        return demoted
-
-    def _auto_bitparallel(self, pairs, positions: list[int],
-                          results: list[AlignerResult | None],
-                          deadline: Deadline) -> None:
-        """Bit-parallel-routed pairs (score-only edit pairs too
-        divergent for the wavefront): exact at any divergence, so --
-        unlike the other routes -- nothing ever demotes."""
-        batch = self.batch
-        n_symbols = self.config.alphabet.size
-        state_words = bitparallel_kernel.WORDS_PER_BLOCK_STATE + n_symbols
-        sub_pairs = [pairs[p] for p in positions]
-        for bucket in bucketize(sub_pairs, batch.bucket_granularity):
-            deadline.check("auto bitparallel bucket")
-            with self.obs.profiler.phase(
-                    f"bucket[{bucket.n_max}x{bucket.m_max}]"), \
-                    self.obs.profiler.phase("linear.bitparallel"):
-                try:
-                    sweep = bitparallel_kernel.sweep_bitparallel(
-                        bucket, n_symbols=n_symbols)
-                except AlignmentError as exc:
-                    if exc.pair_index is not None:
-                        # The kernel tags the bucket-local position;
-                        # lift it to the submission index so the
-                        # supervised layer quarantines the right pair.
-                        exc.pair_index = positions[exc.pair_index]
-                    raise
-                if self.obs.enabled:
-                    self._account(
-                        int(np.sum(sweep.cells)), 8,
-                        nbytes=bitparallel_kernel.WORDS_PER_BLOCK_STEP
-                        * 8 * int(np.sum(sweep.words)))
-            for b, local in enumerate(bucket.index):
-                position = positions[int(local)]
-                distance = int(sweep.distance[b])
-                blocks = int(sweep.blocks[b])
-                stats = DPStats(cells_computed=int(sweep.cells[b]),
-                                cells_stored=blocks * state_words,
-                                blocks=max(1, blocks))
-                results[position] = AlignerResult(
-                    alignment=None, score=-distance, stats=stats)
-
-    def _banded_exact(self, pairs, members: list[tuple[int, int]],
-                      half: int, results: list[AlignerResult | None],
-                      deadline: Deadline) -> list[int]:
-        """Banded traceback replay at a pre-certified half-width;
-        ``members`` carry the exact distance the corridor was certified
-        against. Returns demoted positions (defensive only -- the
-        certificate guarantees the replay matches)."""
-        batch = self.batch
-        model = self.config.model
-        demoted: list[int] = []
-        position_of = [position for position, _ in members]
-        expected = dict(members)
-        sub = [pairs[p] for p in position_of]
-        for bucket in bucketize(sub, batch.bucket_granularity):
-            deadline.check("auto banded bucket")
-            per_pair = (bucket.n_max + 1) * (bucket.m_max + 1)
-            chunk = max(1, batch.max_batch_cells // per_pair)
-            for piece in bucket.slices(chunk):
-                with self.obs.profiler.phase(
-                        f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                    with self.obs.profiler.phase("banded[int64]"):
-                        matrices, cells, _ = kernels.sweep_banded(
-                            piece, model, half, None, keep=True)
-                        if self.obs.enabled:
-                            self._account(int(np.sum(cells)), 8)
-                    with self.obs.profiler.phase("traceback"):
-                        for b, local in enumerate(piece.index):
-                            position = position_of[int(local)]
-                            q_codes, r_codes = pairs[position]
-                            n, m = len(q_codes), len(r_codes)
-                            score = int(matrices[b, n, m])
-                            if score <= kernels.PRUNE_FLOOR or \
-                                    score != -expected[position]:
-                                demoted.append(position)
-                                continue
-                            with _tag_pair(position):
-                                alignment = alignment_from_matrix(
-                                    matrices[b, :n + 1, :m + 1],
-                                    q_codes, r_codes, model)
-                            stats = DPStats(cells_computed=int(cells[b]),
-                                            cells_stored=int(cells[b]),
-                                            blocks=1)
-                            results[position] = AlignerResult(
-                                alignment=alignment,
-                                score=alignment.score, stats=stats)
-        return demoted
-
-    def _auto_banded(self, pairs, positions: list[int],
-                     estimates: list[int],
-                     results: list[AlignerResult | None],
-                     deadline: Deadline) -> list[int]:
-        """Banded-routed pairs: estimated corridor, certificate-checked
-        against the achieved score and widened (x2) until certified;
-        hopeless pairs demote to the full kernel. Returns demoted
-        positions."""
-        batch = self.batch
-        model = self.config.model
-        policy = batch.planner or PlannerPolicy()
-        demoted: list[int] = []
-        pending: list[tuple[int, int]] = []
-        for position in positions:
-            q_codes, r_codes = pairs[position]
-            n, m = len(q_codes), len(r_codes)
-            half = planning.width_class(
-                abs(m - n) + estimates[position] + policy.band_slack)
-            if half >= min(n, m):
-                demoted.append(position)
-            else:
-                pending.append((position, half))
-        while pending:
-            groups: dict[int, list[int]] = {}
-            for position, half in pending:
-                groups.setdefault(half, []).append(position)
-            pending = []
-            for half, members in sorted(groups.items()):
-                retry = self._banded_try(pairs, members, half, results,
-                                         deadline)
-                for position in retry:
-                    q_codes, r_codes = pairs[position]
-                    wider = half * 2
-                    if wider >= min(len(q_codes), len(r_codes)):
-                        demoted.append(position)
-                    else:
-                        pending.append((position, wider))
-        return demoted
-
-    def _banded_try(self, pairs, positions: list[int], half: int,
-                    results: list[AlignerResult | None],
-                    deadline: Deadline) -> list[int]:
-        """One banded attempt at ``half`` for ``positions``; fills in
-        results whose band certificate holds and returns the rest."""
-        batch = self.batch
-        model = self.config.model
-        retry: list[int] = []
-        sub = [pairs[p] for p in positions]
-        for bucket in bucketize(sub, batch.bucket_granularity):
-            deadline.check("auto banded bucket")
-            per_pair = (bucket.n_max + 1) * (bucket.m_max + 1)
-            chunk = max(1, batch.max_batch_cells // per_pair) \
-                if batch.traceback else bucket.size
-            for piece in bucket.slices(max(1, chunk)):
-                with self.obs.profiler.phase(
-                        f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                    with self.obs.profiler.phase("banded[int64]"):
-                        swept, cells, widths = kernels.sweep_banded(
-                            piece, model, half, None,
-                            keep=batch.traceback)
-                        if self.obs.enabled:
-                            self._account(int(np.sum(cells)), 8)
-                    retry.extend(self._absorb_banded(
-                        pairs, positions, piece, swept, cells, widths,
-                        half, results))
-        return retry
-
-    def _absorb_banded(self, pairs, positions: list[int],
-                       piece: PairBatch, swept, cells, widths, half: int,
-                       results: list[AlignerResult | None]) -> list[int]:
-        """Certificate-check one banded sweep's pairs and store the
-        proven-exact results; returns positions needing a wider band."""
-        batch = self.batch
-        model = self.config.model
-        retry: list[int] = []
-        for b, local in enumerate(piece.index):
-            position = positions[int(local)]
-            q_codes, r_codes = pairs[position]
-            n, m = len(q_codes), len(r_codes)
-            score = int(swept[b, n, m]) if batch.traceback \
-                else int(swept[b])
-            if score <= kernels.PRUNE_FLOOR or \
-                    not planning.band_is_certified(model, n, m, score,
-                                                   half):
-                retry.append(position)
-                continue
-            if batch.traceback:
-                with self.obs.profiler.phase("traceback"), \
-                        _tag_pair(position):
-                    alignment = alignment_from_matrix(
-                        swept[b, :n + 1, :m + 1], q_codes, r_codes,
-                        model)
-                stats = DPStats(cells_computed=int(cells[b]),
-                                cells_stored=int(cells[b]), blocks=1)
-                results[position] = AlignerResult(
-                    alignment=alignment, score=alignment.score,
-                    stats=stats)
-            else:
-                stats = DPStats(cells_computed=int(cells[b]),
-                                cells_stored=int(widths[b]), blocks=1)
-                results[position] = AlignerResult(
-                    alignment=None, score=score, stats=stats)
-        return retry
+                alignment=None, score=-int(sweep.distance[b]), stats=stats)
+        return []
 
     # Score-only kernels: rolling rows, one sweep per bucket.
 
@@ -1018,8 +715,8 @@ class BatchEngine:
                     matrix = matrices[b, :n + 1, :m + 1]
                     with _tag_pair(position):
                         if kind == "global":
-                            alignment = _global_traceback(matrix, q_codes,
-                                                          r_codes, model)
+                            alignment = alignment_from_matrix(
+                                matrix, q_codes, r_codes, model)
                         elif kind == "local":
                             alignment = local_traceback(matrix, q_codes,
                                                         r_codes, model)
@@ -1093,12 +790,6 @@ class BatchEngine:
                     results[position] = _heuristic_traceback(
                         matrices[b, :n + 1, :m + 1], q_codes, r_codes,
                         model, int(matrices[b, n, m]), stats)
-
-
-def _global_traceback(matrix: np.ndarray, q_codes: np.ndarray,
-                      r_codes: np.ndarray, model) -> Alignment:
-    from repro.dp.traceback import alignment_from_matrix
-    return alignment_from_matrix(matrix, q_codes, r_codes, model)
 
 
 def _heuristic_traceback(matrix: np.ndarray, q_codes: np.ndarray,

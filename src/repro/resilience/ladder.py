@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.exec.engine import BatchConfig
+from repro.exec.engine import ENGINES, BatchConfig
 
 #: Heuristic algorithms the ``exact`` rung can promote.
 HEURISTIC_ALGORITHMS = ("banded", "xdrop")
@@ -41,7 +41,8 @@ HEURISTIC_ALGORITHMS = ("banded", "xdrop")
 #: engines degrade the same way the plain vector engine does; a
 #: degraded bitparallel batch is score-only, so the scalar rung's
 #: ``compute_score`` path answers it exactly).
-VECTORIZED_ENGINES = ("vector", "wavefront", "bitparallel", "auto")
+VECTORIZED_ENGINES = tuple(engine for engine in ENGINES
+                           if engine != "scalar")
 
 
 def exact_config(batch: BatchConfig) -> BatchConfig:

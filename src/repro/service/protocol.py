@@ -24,12 +24,9 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.core.atomicio import atomic_write_json
+from repro.exec.engine import ENGINES
 
 SCHEMA = "smx-job/1"
-
-#: Engines ``repro align --batch`` accepts; mirrored here so a typo'd
-#: job is rejected at admission, not mid-run.
-ENGINES = ("scalar", "vector", "wavefront", "bitparallel", "auto")
 
 
 def new_job_id() -> str:

@@ -378,3 +378,33 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_engine_lists_agree(self):
+        """The CLI ``--engine`` choices and the job protocol accept
+        exactly the engines the batch engine implements."""
+        from repro.exec.engine import ENGINES
+        from repro.service.protocol import (
+            SCHEMA,
+            JobSpec,
+            job_from_dict,
+            job_to_dict,
+        )
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action.choices, dict)).choices
+        for command in ("align", "enqueue"):
+            [engine_flag] = [action for action
+                             in subcommands[command]._actions
+                             if "--engine" in action.option_strings]
+            assert tuple(engine_flag.choices) == ENGINES
+        accepted = set()
+        for engine in ENGINES + ("banded", "gpu"):
+            document = job_to_dict(JobSpec(
+                job_id="job-1", pairs=[("AC", "AG")], engine=engine,
+                traceback=engine != "bitparallel"))
+            assert document["schema"] == SCHEMA
+            try:
+                accepted.add(job_from_dict(document).engine)
+            except ValueError:
+                pass
+        assert accepted == set(ENGINES)

@@ -8,7 +8,8 @@ to each other:
   stats -- and both agree with ``tests/oracle.py`` on scores;
 - ``engine="auto"`` is bit-identical (score *and* CIGAR *and* meta) to
   the fixed full-vector engine, order-invariant, and routing decisions
-  never change results;
+  never change results; wherever its only route is ``full`` it equals
+  ``vector`` down to the ``DPStats``;
 - deadline-aware load shedding reports shed pairs exactly once as
   structured ``"deadline"`` failures with reconciling counters, and
   never expires a started shard mid-batch.
@@ -23,21 +24,26 @@ from hypothesis import strategies as st
 
 from repro.algorithms.wavefront import WavefrontAligner
 from repro.api import align, align_batch, score, score_batch
-from repro.config import dna_edit_config, dna_gap_config, standard_configs
-from repro.errors import ConfigurationError
+from repro.config import (
+    dna_edit_config,
+    dna_gap_config,
+    protein_config,
+    standard_configs,
+)
+from repro.errors import AlignmentError, ConfigurationError
+from repro.exec import engine as engine_module
+from repro.exec import kernels
 from repro.exec.buckets import bucketize
 from repro.exec.engine import BatchConfig, BatchEngine
 from repro.exec.planner import (
-    ROUTE_BANDED,
+    ROUTE_BITPARALLEL,
     ROUTE_FULL,
     ROUTE_WAVEFRONT,
+    ROUTES,
     PlannerPolicy,
-    band_is_certified,
-    certified_half_width,
     estimate_divergence,
     is_edit_model,
     plan_routes,
-    width_class,
 )
 from repro.exec.wavefront import sweep_wavefront, wavefront_cigar
 from repro.obs import Observability
@@ -50,6 +56,7 @@ from tests.oracle import cached_oracle
 CONFIGS = standard_configs()
 EDIT = dna_edit_config()
 GAP = dna_gap_config()
+PROTEIN = protein_config()
 
 THREAD = dict(backend="thread", backoff_base_s=0.0)
 
@@ -93,15 +100,11 @@ class TestPlannerPolicy:
         with pytest.raises(ConfigurationError):
             PlannerPolicy(wavefront_divergence=-0.1)
         with pytest.raises(ConfigurationError):
-            PlannerPolicy(banded_divergence=1.5)
-        with pytest.raises(ConfigurationError):
-            PlannerPolicy(wavefront_divergence=0.5, banded_divergence=0.2)
+            PlannerPolicy(wavefront_divergence=1.5)
         with pytest.raises(ConfigurationError):
             PlannerPolicy(min_length=-1)
         with pytest.raises(ConfigurationError):
             PlannerPolicy(probe_slack=0)
-        with pytest.raises(ConfigurationError):
-            PlannerPolicy(band_slack=-1)
 
     def test_is_edit_model(self):
         assert is_edit_model(EDIT.model)
@@ -124,61 +127,42 @@ class TestPlannerPolicy:
         empty = np.empty(0, dtype=np.uint8)
         pairs = [(identical, identical.copy()), near, far, tiny,
                  (empty, identical)]
-        routes, estimates = plan_routes(pairs, EDIT.model, PlannerPolicy())
-        assert routes[0] == ROUTE_WAVEFRONT
-        assert routes[1] in (ROUTE_WAVEFRONT, ROUTE_BANDED)
-        assert routes[2] == ROUTE_FULL
-        assert routes[3] == ROUTE_FULL
-        assert routes[4] == ROUTE_FULL
+        routes, estimates = plan_routes(pairs, EDIT.model, PlannerPolicy(),
+                                        traceback=False)
+        assert routes == [ROUTE_WAVEFRONT, ROUTE_WAVEFRONT,
+                          ROUTE_BITPARALLEL, ROUTE_FULL, ROUTE_FULL]
         assert len(estimates) == len(pairs)
         assert all(e >= 0 for e in estimates)
+        # CIGAR pairs never leave the full kernel.
+        routes, _ = plan_routes(pairs, EDIT.model, PlannerPolicy(),
+                                traceback=True)
+        assert routes == [ROUTE_FULL] * len(pairs)
 
     def test_no_wavefront_route_for_gap_model(self, rng):
         q = GAP.alphabet.random(100, rng)
-        routes, _ = plan_routes([(q, q.copy())], GAP.model, PlannerPolicy())
-        assert routes == [ROUTE_BANDED]
+        for traceback in (True, False):
+            routes, estimates = plan_routes([(q, q.copy())], GAP.model,
+                                            PlannerPolicy(),
+                                            traceback=traceback)
+            assert routes == [ROUTE_FULL]
+            assert estimates == [200]
 
-    def test_width_class_rounds_up_to_power_of_two(self):
-        assert width_class(1) == 1
-        assert width_class(3) == 4
-        assert width_class(4) == 4
-        assert width_class(33) == 64
-
-
-class TestBandCertificate:
-    def test_certificate_is_safe_for_random_pairs(self, rng):
-        """A banded run at the certified width reproduces the exact
-        score: the corridor provably contains every optimal path."""
-        from repro.exec import kernels
-        for config in (EDIT, GAP):
-            for _ in range(12):
-                n = 24 + int(rng.integers(0, 60))
-                q, r = make_pair(config, n, 0.25, rng)
-                exact = cached_oracle("global", config,
-                                      bytes(bytearray(q)),
-                                      bytes(bytearray(r)))[0]
-                half = certified_half_width(config.model, len(q), len(r),
-                                            exact)
-                assert half is not None
-                assert band_is_certified(config.model, len(q), len(r),
-                                         exact, half)
-                for bucket in bucketize([(q, r)], 8):
-                    swept, _, _ = kernels.sweep_banded(
-                        bucket, config.model, width=half, fraction=None,
-                        keep=False)
-                    assert int(swept[0]) == exact
-
-    def test_degenerate_model_has_no_certificate(self):
-        from repro.scoring.model import MatchMismatchModel
-        flat = MatchMismatchModel(match=-2, mismatch=-2,
-                                  gap_i=-1, gap_d=-1)
-        assert certified_half_width(flat, 10, 10, -5) is None
-        assert not band_is_certified(flat, 10, 10, -5, 1000)
-
-    def test_lower_scores_only_widen(self):
-        tight = certified_half_width(EDIT.model, 50, 50, 0)
-        loose = certified_half_width(EDIT.model, 50, 50, -20)
-        assert loose > tight
+    def test_score_only_edit_routes_are_pinned(self):
+        """Score-only edit pairs on a seeded mixed-identity corpus keep
+        the routes the planner chose when it still had a banded route
+        (w = wavefront, b = bitparallel, f = full)."""
+        rng = np.random.default_rng(2024)
+        errors = (0.0, 0.02, 0.05, 0.08, 0.12, 0.16, 0.22, 0.3, 0.45, 0.6)
+        pairs = [make_pair(EDIT, 40 + int(rng.integers(0, 400)),
+                           errors[i % 10], rng) for i in range(40)]
+        pairs.append((EDIT.alphabet.random(12, rng),
+                      EDIT.alphabet.random(20, rng)))
+        pairs.append((np.empty(0, dtype=np.uint8),
+                      EDIT.alphabet.random(50, rng)))
+        routes, _ = plan_routes(pairs, EDIT.model, PlannerPolicy(),
+                                traceback=False)
+        assert "".join(route[0] for route in routes) == \
+            "wwwwwwwbbb" * 4 + "ff"
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +201,34 @@ class TestWavefrontKernelConformance:
                                   bytes(bytearray(r)))[0]
             assert result.score == exact
             result.alignment.validate(q, r, EDIT.model)
+
+    def test_fallback_errors_carry_submission_index(self, rng,
+                                                    monkeypatch):
+        """A traceback error in a pair the wavefront demoted to the full
+        kernel names the pair's submission position, so the supervisor
+        isolates that one pair on the first try."""
+        same = EDIT.alphabet.random(40, rng)
+        poison = (EDIT.alphabet.random(40, rng),
+                  EDIT.alphabet.random(40, rng))
+        pairs = [(same, same.copy()), poison, (same.copy(), same)]
+        traceback = engine_module.alignment_from_matrix
+
+        def fake(matrix, q_codes, r_codes, model):
+            if np.array_equal(q_codes, poison[0]):
+                raise AlignmentError("poisoned traceback")
+            return traceback(matrix, q_codes, r_codes, model)
+
+        monkeypatch.setattr(engine_module, "alignment_from_matrix", fake)
+        batch = BatchConfig(engine="wavefront", traceback=True,
+                            wavefront_max_score=1)
+        with pytest.raises(AlignmentError) as info:
+            BatchEngine(EDIT, batch).run(pairs)
+        assert info.value.pair_index == 1
+        outcome = SupervisedEngine(
+            EDIT, batch, ResilienceConfig(**THREAD)).run(pairs)
+        assert outcome.counters["isolations"] == 1
+        assert outcome.results[0] is not None
+        assert outcome.results[2] is not None
 
     def test_capped_sweep_falls_back_to_full(self, rng):
         pairs = [(EDIT.alphabet.random(64, rng),
@@ -302,38 +314,85 @@ class TestAutoEngineConformance:
             assert result.alignment.cigar_string == exact_cigar
 
     def test_auto_emits_plan_telemetry(self, rng):
+        """Score-only edit pairs spread over every route; each route's
+        buckets report the same telemetry as a fixed engine's."""
         pairs = _mixed_corpus(rng)
         obs = Observability.enabled_context(events=EventStream(),
                                             profile=True)
-        BatchEngine(EDIT, BatchConfig(engine="auto", traceback=True),
+        BatchEngine(EDIT, BatchConfig(engine="auto", traceback=False),
                     obs=obs).run(pairs)
-        routed = sum(
-            obs.metrics.counter(f"exec.plan.{route}").value
-            for route in (ROUTE_WAVEFRONT, ROUTE_BANDED, ROUTE_FULL))
-        assert routed == len(pairs)
+        routed = {route: obs.metrics.counter(f"exec.plan.{route}").value
+                  for route in ROUTES}
+        assert sum(routed.values()) == len(pairs)
+        assert all(routed.values())
         plan = obs.events.last("plan")
         assert plan is not None
         assert plan["pairs"] == len(pairs)
         phases = {name for stack in obs.profiler.stacks
                   for name in stack}
-        assert "exec.plan" in phases
-        assert "linear.wavefront" in phases
+        assert {"exec.plan", "linear.wavefront",
+                "linear.bitparallel"} <= phases
+        buckets = [event for event in obs.tracer.events
+                   if event.name == "exec.bucket"]
+        progress = obs.events.of_kind("progress")
+        assert len(buckets) == len(progress) > len(ROUTES)
+        assert progress[-1]["done"] == progress[-1]["total"] == len(pairs)
+        assert all(event["engine"] == "auto" for event in progress)
+        assert obs.metrics.distribution(
+            "exec.pair_latency_us", engine="auto").count == len(pairs)
 
     def test_auto_respects_custom_policy(self, rng):
         """A policy that disables the fast routes degrades auto to the
         plain full engine -- same results, all pairs routed full."""
         pairs = _mixed_corpus(rng, count=6)
-        policy = PlannerPolicy(wavefront_divergence=0.0,
-                               banded_divergence=0.0)
+        policy = PlannerPolicy(min_length=10**6)
         obs = Observability.enabled_context()
-        auto = BatchEngine(EDIT, BatchConfig(engine="auto", traceback=True,
+        auto = BatchEngine(EDIT, BatchConfig(engine="auto", traceback=False,
                                              planner=policy),
                            obs=obs).run(pairs)
-        full = BatchEngine(EDIT, BatchConfig(traceback=True)).run(pairs)
-        assert obs.metrics.counter("exec.plan.full").value >= 6
-        for got, want in zip(auto, full):
-            assert got.score == want.score
-            assert got.alignment.cigar == want.alignment.cigar
+        full = BatchEngine(EDIT, BatchConfig(traceback=False)).run(pairs)
+        assert obs.metrics.counter("exec.plan.full").value == len(pairs)
+        assert [(r.score, r.stats) for r in auto] \
+            == [(r.score, r.stats) for r in full]
+
+    @pytest.mark.parametrize("config,traceback", [
+        (GAP, False), (GAP, True), (PROTEIN, False), (PROTEIN, True),
+        (EDIT, True)])
+    def test_auto_equals_vector_where_only_full_runs(self, config,
+                                                     traceback):
+        """CIGAR pairs and non-edit models take the full route only, so
+        auto returns vector's results down to the ``DPStats`` -- on
+        near-identical long pairs a banded route used to claim."""
+        rng = np.random.default_rng(7)
+        pairs = [make_pair(config, 200 + 20 * i, (0.02, 0.05, 0.1)[i % 3],
+                           rng) for i in range(6)]
+        pairs += _mixed_corpus(rng, count=4)
+        batch = BatchConfig(engine="auto", traceback=traceback)
+        auto = BatchEngine(config, batch).run(pairs)
+        vector = BatchEngine(
+            config, BatchConfig(traceback=traceback)).run(pairs)
+        for got, want in zip(auto, vector):
+            assert (got.score, got.stats) == (want.score, want.stats)
+            if traceback:
+                assert got.alignment.cigar == want.alignment.cigar
+                assert got.alignment.meta == want.alignment.meta
+
+    def test_auto_never_calls_the_banded_kernel(self, rng, monkeypatch):
+        calls = []
+        banded = kernels.sweep_banded
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return banded(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "sweep_banded", counting)
+        pairs = [make_pair(GAP, 150, 0.05, rng) for _ in range(4)]
+        pairs += _mixed_corpus(rng, count=8)
+        for config in (EDIT, GAP, PROTEIN):
+            for traceback in (True, False):
+                BatchEngine(config, BatchConfig(
+                    engine="auto", traceback=traceback)).run(pairs)
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
